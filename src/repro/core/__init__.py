@@ -6,6 +6,7 @@ from .bottleneck import (
     BottleneckDecomposition,
     BottleneckPair,
     bottleneck_decomposition,
+    flow_decomposition,
     maximal_bottleneck,
 )
 from .bruteforce import (
@@ -37,6 +38,7 @@ __all__ = [
     "BottleneckDecomposition",
     "BottleneckPair",
     "bottleneck_decomposition",
+    "flow_decomposition",
     "maximal_bottleneck",
     "brute_force_decomposition",
     "brute_force_maximal_bottleneck",

@@ -1,4 +1,11 @@
-"""Bottleneck decomposition (Definition 2) via exact parametric min-cut.
+"""Bottleneck decomposition (Definition 2): ring DP or parametric min-cut.
+
+:func:`bottleneck_decomposition` serves every graph whose vertices have at
+most two neighbours (rings, and the paths a Sybil split cuts them into)
+from the exact linear DP of :mod:`repro.core.ringdp`, when its weight guard
+admits the instance (see :func:`repro.core.ringdp.dp_weights`).  Every
+other graph -- and the DP's differential oracle -- goes through
+:func:`flow_decomposition`, described below.
 
 The maximal bottleneck ``argmin_S alpha(S)`` is computed by Dinkelbach
 iteration on the parametric function ``g_lambda(S) = w(Gamma(S)) - lambda *
@@ -35,20 +42,25 @@ set of ``t``) the maximal minimizer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..engine import EngineContext, decomposition_key, instance_signature, resolve_context
-from ..exceptions import ConvergenceError, DecompositionError
+from ..exceptions import ConvergenceError, DecompositionError, NumericalInstabilityError
 from ..flow import FlowNetwork, max_source_side
 from ..graphs import WeightedGraph, check_no_isolated
 from ..numeric import Backend, FLOAT, Scalar
+from .ringdp import dp_weights, dyadic_ints, ring_pairs
 
 __all__ = [
     "BottleneckPair",
     "BottleneckDecomposition",
     "maximal_bottleneck",
     "bottleneck_decomposition",
+    "flow_decomposition",
+    "exact_ratios",
     "parametric_network",
 ]
 
@@ -361,19 +373,121 @@ def maximal_bottleneck(
     )
 
 
-def bottleneck_decomposition(
+def _stage_alpha(g: WeightedGraph, B, active_set: set, backend: Backend) -> Scalar:
+    """``alpha`` of the stage pair with bottleneck ``B`` over ``active_set``,
+    by the very expression the Dinkelbach loop of :func:`maximal_bottleneck`
+    returns, so the float bits match a flow solve that finds the same sets.
+
+    Float sums depend on set iteration order, so the sets are built as the
+    loop builds them: ``S`` by ascending insertion, and the active set too
+    whenever ``Gamma(S) & active`` iterates it -- a set intersection walks
+    its smaller operand, so a larger active set only answers membership.
+    A non-finite sum (weights near ``DBL_MAX``) raises the same typed error
+    as the flow boundary does.
+    """
+    S = set(sorted(B))
+    nb = g.neighborhood(S)
+    if len(active_set) <= len(nb):
+        active_set = set(sorted(active_set))
+    num = g.weight_of(nb & active_set, backend)
+    den = g.weight_of(S, backend)
+    if not backend.is_exact and not (math.isfinite(num) and math.isfinite(den)):
+        raise NumericalInstabilityError(
+            f"weight sums {num!r} / {den!r} of a bottleneck pair are not finite; "
+            "the instance needs the exact backend",
+            signature=instance_signature(g, backend),
+        )
+    return num / den
+
+
+def exact_ratios(g: WeightedGraph, pairs: Sequence[BottleneckPair], backend: Backend) -> list:
+    """``w(C)/w(B)`` of each pair in exact arithmetic (``None`` where
+    ``w(B) = 0``).
+
+    Float weights enter at their exact dyadic value (``Fraction(w)``), not
+    through the exact backend's ``limit_denominator`` rounding: this is the
+    ratio a float decomposition approximates, and two pairs of one float
+    decomposition may only share an ``alpha`` when these ratios agree.
+    """
+    ws = [backend.scalar(x) for x in g.weights]
+    W = ws if backend.is_exact else dyadic_ints(ws)
+    out = []
+    for p in pairs:
+        wB = sum(W[v] for v in p.B)
+        out.append(Fraction(sum(W[v] for v in p.C), wB) if wB else None)
+    return out
+
+
+def _ring_decomposition(
+    g: WeightedGraph, W: list[int], backend: Backend, ctx: EngineContext
+) -> list[BottleneckPair]:
+    """Pairs of ``g`` from the ring DP (``W`` from :func:`dp_weights`).
+
+    The DP orders and unites pairs by their exact ratio; each ``alpha`` is
+    then the exact ratio itself (exact backend) or :func:`_stage_alpha`
+    over the stage's active set (floats).
+    """
+    pairs = []
+    remaining = set(g.vertices())
+    for index, (ratio, B, C) in enumerate(
+            ring_pairs(g, W, backend, ctx, _MAX_DINKELBACH_ITERS), 1):
+        alpha = ratio if backend.is_exact else _stage_alpha(g, B, remaining, backend)
+        pairs.append(BottleneckPair(index, frozenset(B), frozenset(C), alpha))
+        remaining.difference_update(B)
+        remaining.difference_update(C)
+    return pairs
+
+
+def _merge_split_bottlenecks(
+    g: WeightedGraph, pairs: list[BottleneckPair], backend: Backend
+) -> list[BottleneckPair]:
+    """Unite consecutive float pairs whose exact ratios are equal.
+
+    Float rounding of ``lambda * w`` can make the parametric min cut miss
+    part of a maximal bottleneck at an exact tie, so the rest comes out as
+    the next stage with the same exact ratio (e.g. ``ring([2, 4, 5, 5, 1, 4,
+    6, 3, 6, 1, 6, 1, 4])`` as floats, pairs 3 and 4 at 2/3).  Their union
+    is the maximal bottleneck of the first stage; at ratio 1 it is the unit
+    pair of every member.  ``alpha`` is recomputed over the first stage's
+    active set.  Exact arithmetic never splits a bottleneck.
+    """
+    if backend.is_exact:
+        return pairs
+    out: list[BottleneckPair] = []
+    kept: list = []
+    remaining = set(g.vertices())
+    for p, r in zip(pairs, exact_ratios(g, pairs, backend)):
+        if out and r is not None and r == kept[-1]:
+            q = out[-1]
+            active = remaining | q.members()
+            if r == 1:
+                B = C = q.members() | p.members()
+            else:
+                B, C = q.B | p.B, q.C | p.C
+            out[-1] = BottleneckPair(q.index, B, C, _stage_alpha(g, B, active, backend))
+        else:
+            out.append(BottleneckPair(len(out) + 1, p.B, p.C, p.alpha))
+            kept.append(r)
+        remaining -= p.members()
+    return out
+
+
+def flow_decomposition(
     g: WeightedGraph,
     backend: Backend | None = None,
     ctx: EngineContext | None = None,
     hint: BottleneckDecomposition | None = None,
 ) -> BottleneckDecomposition:
-    """Full bottleneck decomposition of ``g`` (Definition 2).
+    """Bottleneck decomposition by the parametric max-flow stage loop.
+
+    Serves every graph :func:`bottleneck_decomposition` does not hand to
+    the ring DP, and is the DP's differential oracle.  Uncached and
+    unaudited: the caching, counting and auditing wrapper is
+    :func:`bottleneck_decomposition`.
 
     Iteratively extracts the maximal bottleneck ``B_i`` of ``G_i`` and its
     in-``G_i`` neighborhood ``C_i``, removing both, until no vertices
-    remain.  Results are memoized in ``ctx``'s decomposition cache: the
-    decomposition is a pure function of ``(structure, weights, backend)``,
-    and the Sybil sweeps re-request the same instance many times.
+    remain.
 
     ``hint`` optionally passes a decomposition of a *nearby* instance (same
     vertex ids, different weights -- e.g. the previous candidate split of a
@@ -393,6 +507,64 @@ def bottleneck_decomposition(
     """
     ctx = resolve_context(ctx)
     backend = ctx.resolve_backend(backend)
+    check_no_isolated(g)
+    if g.total_weight(backend) == 0:
+        raise DecompositionError("graph has zero total weight; sharing is degenerate")
+
+    pairs: list[BottleneckPair] = []
+    active = sorted(g.vertices())
+    index = 1
+    hint_pairs = hint.pairs if hint is not None else ()
+    while active:
+        active_set = set(active)
+        w_active = g.weight_of(active, backend)
+        if w_active == 0:
+            # leftover zero-weight vertices: terminal degenerate pair; they
+            # give and receive nothing.  Keep alpha of the previous pair so
+            # the monotone alphas invariant (Prop 3-(1)) is not violated by
+            # a synthetic value.
+            B = frozenset(active)
+            alpha = pairs[-1].alpha if pairs else backend.scalar(1)
+            pairs.append(BottleneckPair(index, B, B, alpha))
+            break
+        lam0 = None
+        if index <= len(hint_pairs):
+            H = set(v for v in sorted(hint_pairs[index - 1].B)
+                    if v in active_set)
+            if H:
+                wH = g.weight_of(H, backend)
+                if wH != 0:
+                    lam0 = g.weight_of(
+                        g.neighborhood(H) & active_set, backend) / wH
+        B, alpha = maximal_bottleneck(g, active, backend, ctx, lam0=lam0)
+        C = frozenset(g.neighborhood(B) & active_set)
+        members = B | C
+        if not members:
+            raise DecompositionError("empty pair extracted; decomposition stuck")
+        pairs.append(BottleneckPair(index, frozenset(B), C, alpha))
+        active = sorted(active_set - members)
+        index += 1
+    return BottleneckDecomposition(g, _merge_split_bottlenecks(g, pairs, backend), backend)
+
+
+def bottleneck_decomposition(
+    g: WeightedGraph,
+    backend: Backend | None = None,
+    ctx: EngineContext | None = None,
+    hint: BottleneckDecomposition | None = None,
+) -> BottleneckDecomposition:
+    """Full bottleneck decomposition of ``g`` (Definition 2).
+
+    Graphs whose vertices all have at most two neighbours, with weights
+    inside the DP's guard (:func:`repro.core.ringdp.dp_weights`), are
+    decomposed by the exact ring DP; all others by
+    :func:`flow_decomposition`, which alone uses ``hint``.  Results are
+    memoized in ``ctx``'s decomposition cache: the decomposition is a pure
+    function of ``(structure, weights, backend)``, and the Sybil sweeps
+    re-request the same instance many times.
+    """
+    ctx = resolve_context(ctx)
+    backend = ctx.resolve_backend(backend)
     key = decomposition_key(g, backend)
     cached = ctx.cache.get(key)
     if cached is not None:
@@ -401,44 +573,13 @@ def bottleneck_decomposition(
     ctx.counters.cache_misses += 1
 
     with ctx.counters.timed("decompose"), ctx.span("decompose"):
-        check_no_isolated(g)
-        if g.total_weight(backend) == 0:
-            raise DecompositionError("graph has zero total weight; sharing is degenerate")
-
-        pairs: list[BottleneckPair] = []
-        active = sorted(g.vertices())
-        index = 1
-        hint_pairs = hint.pairs if hint is not None else ()
-        while active:
-            active_set = set(active)
-            w_active = g.weight_of(active, backend)
-            if w_active == 0:
-                # leftover zero-weight vertices: terminal degenerate pair; they
-                # give and receive nothing.  Keep alpha of the previous pair so
-                # the monotone alphas invariant (Prop 3-(1)) is not violated by
-                # a synthetic value.
-                B = frozenset(active)
-                alpha = pairs[-1].alpha if pairs else backend.scalar(1)
-                pairs.append(BottleneckPair(index, B, B, alpha))
-                break
-            lam0 = None
-            if index <= len(hint_pairs):
-                H = set(v for v in sorted(hint_pairs[index - 1].B)
-                        if v in active_set)
-                if H:
-                    wH = g.weight_of(H, backend)
-                    if wH != 0:
-                        lam0 = g.weight_of(
-                            g.neighborhood(H) & active_set, backend) / wH
-            B, alpha = maximal_bottleneck(g, active, backend, ctx, lam0=lam0)
-            C = frozenset(g.neighborhood(B) & active_set)
-            members = B | C
-            if not members:
-                raise DecompositionError("empty pair extracted; decomposition stuck")
-            pairs.append(BottleneckPair(index, frozenset(B), C, alpha))
-            active = sorted(active_set - members)
-            index += 1
-        decomp = BottleneckDecomposition(g, pairs, backend)
+        W = dp_weights(g, backend)
+        if W is None:
+            decomp = flow_decomposition(g, backend, ctx, hint)
+        else:
+            check_no_isolated(g)
+            decomp = BottleneckDecomposition(
+                g, _ring_decomposition(g, W, backend, ctx), backend)
     ctx.counters.decompositions += 1
     # Audit before caching: a decomposition that fails its invariants must
     # never be served from the cache on a later request.

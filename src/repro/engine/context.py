@@ -171,7 +171,9 @@ class EngineContext:
         Dinkelbach, vectorized dynamics arrays, and (auditor-off only)
         segment-reuse in the best-response search.  ``"classic"`` keeps the
         original per-object construction everywhere -- the reference path
-        the differential checks compare against.
+        the differential checks compare against.  Both engines decompose
+        rings and paths with the ring DP (``core.ringdp``), which builds no
+        per-object networks; the choice matters on the flow path.
     """
 
     solver: str = DEFAULT_SOLVER

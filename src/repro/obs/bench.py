@@ -258,6 +258,8 @@ BENCH_SUITE: tuple[BenchCase, ...] = (
     BenchCase("dynamics_vectorized_n128", "core", _dynamics_case(128)),
     BenchCase("sim_epoch_n12", "sim", _sim_epoch_case(12)),
     BenchCase("experiment_EXP-S1_smoke", "experiment", _experiment_case("EXP-S1")),
+    BenchCase("decompose_float_n1k", "core", _decompose_case(1024, exact=False)),
+    BenchCase("decompose_exact_n1k", "core", _decompose_case(1024, exact=True)),
 )
 
 

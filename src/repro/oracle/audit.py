@@ -14,8 +14,9 @@
     Theorem 8 bound on each best response.  O(instance) per operation.
 ``differential``
     Everything above, plus sampled re-solves against independent oracles
-    (the other registered solvers, networkx, and -- for small instances --
-    the brute-force subset enumeration).  Sampling is counter-based, never
+    (the other registered solvers, networkx, the flow path for
+    decompositions the ring DP served, and -- for small instances -- the
+    brute-force subset enumeration).  Sampling is counter-based, never
     randomized, so a failing run replays deterministically.
 ``paranoid``
     Differential with the sample period forced to 1 (every call), plus the
@@ -34,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
+from ..core.ringdp import dp_weights
 from ..engine.context import EngineContext
 from ..engine.registry import Solver
 from ..exceptions import AuditError, EngineError
@@ -46,6 +48,7 @@ from .differential import (
     BRUTE_FORCE_LIMIT,
     differential_decomposition_problems,
     differential_flow_problems,
+    ring_dp_problems,
 )
 from .invariants import (
     allocation_problems,
@@ -181,6 +184,10 @@ class Auditor:
             diff_problems, checks = differential_decomposition_problems(
                 g, decomp, brute_limit=self.config.brute_limit
             )
+            if dp_weights(g, decomp.backend) is not None:
+                ring_problems, ring_checks = ring_dp_problems(g, decomp, ctx)
+                diff_problems += ring_problems
+                checks += ring_checks
             counters.audit_differential_checks += checks
             if diff_problems:
                 counters.audit_disagreements += len(diff_problems)

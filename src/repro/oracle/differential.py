@@ -13,7 +13,9 @@ independent references:
   push mixes ``float('inf')`` into its arithmetic, which would corrupt
   ``Fraction`` capacities);
 * for decompositions on small instances, the exponential subset-enumeration
-  oracle in :mod:`repro.core.bruteforce`.
+  oracle in :mod:`repro.core.bruteforce`;
+* for decompositions the ring DP served, the parametric max-flow path
+  (:func:`repro.core.bottleneck.flow_decomposition`) the DP replaced.
 
 Every function returns ``(problems, checks_run)`` so the auditor can feed
 both the violation path and the ``--stats`` counters.
@@ -22,13 +24,17 @@ both the violation path and the ``--stats`` counters.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from ..core.bottleneck import flow_decomposition
 from ..core.bruteforce import brute_force_decomposition, brute_force_min_alpha
+from ..engine.context import EngineContext
 from ..engine.registry import Solver, SolverRegistry
 from ..exceptions import ReproError
 from ..flow.network import FlowNetwork
 from ..graphs import WeightedGraph
+from ..numeric import EXACT
 from .invariants import _close
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -43,6 +49,7 @@ __all__ = [
     "differential_flow_problems",
     "networkx_max_flow_value",
     "differential_decomposition_problems",
+    "ring_dp_problems",
 ]
 
 #: Hard cap on brute-force subset enumeration (2^n subsets per pair).
@@ -190,3 +197,53 @@ def differential_decomposition_problems(
             f"first alpha {first!r} disagrees with brute-force minimum {ref_alpha!r}"
         )
     return problems, 1
+
+
+def _pair_sets(d: "BottleneckDecomposition") -> list:
+    return [(p.B, p.C) for p in d.pairs]
+
+
+def ring_dp_problems(
+    g: WeightedGraph, d: "BottleneckDecomposition", ctx: EngineContext
+) -> tuple[list[str], int]:
+    """Re-solve a ring-DP decomposition with the flow path it replaced.
+
+    Exact backend: the two must be identical.  Floats: identical down to
+    the bits of every alpha, *or* the DP's pairs must equal the exact
+    backend's on the dyadic weights ``Fraction(w)`` -- the DP decides
+    exactly, while the float flow path can misplace a tie (e.g.
+    ``ring([1.0, 0.1, 0.1, 1.0])``: flow returns ``B = {0, 2}``, the DP and
+    the exact backend ``B = C = V``).  The references run on a fresh
+    context of the same solver and engine, uncached and unaudited.
+    """
+    backend = d.backend
+
+    def fresh() -> EngineContext:
+        return EngineContext(solver=ctx.solver, engine=ctx.engine,
+                             registry=ctx.registry, cache_size=0)
+
+    def bits(x) -> list:
+        return [(p.B, p.C, repr(p.alpha)) for p in x.pairs]
+
+    try:
+        ref = flow_decomposition(g, backend, fresh())
+    except ReproError as exc:
+        if backend.is_exact:
+            return [f"exact flow path failed on a ring-DP instance: {exc}"], 1
+        ref = exc  # a float flow failure is the reference's; ask the exact one
+    else:
+        if bits(ref) == bits(d):
+            return [], 1
+        if backend.is_exact:
+            return [f"ring DP disagrees with the exact flow path: {d!r} vs {ref!r}"], 1
+    dyadic = g.with_weights([Fraction(backend.scalar(w)) for w in g.weights])
+    try:
+        exact = flow_decomposition(dyadic, EXACT, fresh())
+    except ReproError as exc:
+        return [f"exact flow path failed on a ring-DP instance: {exc}"], 2
+    if _pair_sets(exact) == _pair_sets(d):
+        return [], 2
+    return [
+        f"ring DP disagrees with the float flow path and with the exact "
+        f"backend on Fraction(w): {d!r} vs flow {ref!r} vs exact {exact!r}"
+    ], 2

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+from ..core.bottleneck import exact_ratios
 from ..exceptions import AllocationError, FlowError
 from ..flow import (
     assert_valid_flow,
@@ -200,16 +201,18 @@ def decomposition_problems(g: WeightedGraph, d: "BottleneckDecomposition") -> li
             if not g.is_independent(p.B):
                 problems.append(f"pair {p.index}: B is not independent below alpha = 1")
 
-    # increasing alphas.  Strictness is only decidable under exact
-    # arithmetic: exact-distinct alphas can round to the same double or
-    # even swap by one ulp (both observed in the wild on 9-vertex float
-    # rings), so the float audit only flags a decrease beyond the relative
-    # tolerance and leaves strictness to the exact backend.  A trailing
-    # degenerate pair copies the previous alpha by construction and is
-    # likewise only required not to decrease.
+    # increasing alphas.  Floats cannot decide strictness on the rounded
+    # alphas themselves -- exact-distinct ratios can round to the same double
+    # or swap by one ulp (corpus decomposition-50394cbab58d and -09f79b9c8cc3)
+    # -- so a float decomposition must not decrease beyond the relative
+    # tolerance and its *exact* ratios w(C)/w(B) on the dyadic weights must
+    # strictly increase: equal exact ratios mean one maximal bottleneck was
+    # split into two stages (Def. 2).  A trailing degenerate pair copies the
+    # previous alpha by construction and is only required not to decrease.
     strict = backend.tol == 0
-    for (p, pd), (q, qd) in zip(
-        zip(pairs, degenerate), zip(pairs[1:], degenerate[1:])
+    exact = None if strict else exact_ratios(g, pairs, backend)
+    for i, ((p, pd), (q, qd)) in enumerate(
+        zip(zip(pairs, degenerate), zip(pairs[1:], degenerate[1:]))
     ):
         if qd or pd or not strict:
             if q.alpha < p.alpha and not _close(p.alpha, q.alpha):
@@ -221,6 +224,12 @@ def decomposition_problems(g: WeightedGraph, d: "BottleneckDecomposition") -> li
             problems.append(
                 f"alphas not strictly increasing at pair {q.index}: "
                 f"{p.alpha!r} -> {q.alpha!r}"
+            )
+        if exact is not None and not (qd or pd) and None not in exact[i:i + 2] \
+                and not exact[i] < exact[i + 1]:
+            problems.append(
+                f"exact ratios not strictly increasing at pair {q.index}: "
+                f"{exact[i]} -> {exact[i + 1]}"
             )
 
     # the unit pair, when present, closes the decomposition (followed at

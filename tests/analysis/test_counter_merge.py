@@ -47,6 +47,7 @@ def test_parallel_pool_counters_match_serial():
     assert par_ratios == serial_ratios
     assert par_counts == serial_counts
     assert serial_counts["flow_calls"] > 0  # the totals are real work
+    assert serial_counts["dinkelbach_iterations"] > 0
 
 
 def test_supervised_parallel_counters_match_serial():

@@ -32,6 +32,8 @@ def test_incentive_ratio_identical_with_and_without_cache():
     assert uncached.counters.cache_hits == 0
     # the cache must absorb actual flow work, not just decomposition calls
     assert cached.counters.flow_calls < uncached.counters.flow_calls
+    assert (cached.counters.dinkelbach_iterations
+            < uncached.counters.dinkelbach_iterations)
     assert cached.counters.decompositions < uncached.counters.decompositions
 
 
@@ -43,6 +45,8 @@ def test_thm8_smoke_identical_with_and_without_cache():
     assert out_on.data == out_off.data
     assert [c.ok for c in out_on.checks] == [c.ok for c in out_off.checks]
     assert out_on.engine_stats["flow_calls"] < out_off.engine_stats["flow_calls"]
+    assert (out_on.engine_stats["dinkelbach_iterations"]
+            < out_off.engine_stats["dinkelbach_iterations"])
     assert out_on.engine_stats["cache"]["hits"] > 0
     assert out_off.engine_stats["cache"]["hits"] == 0
 

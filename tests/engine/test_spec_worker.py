@@ -32,7 +32,7 @@ def _worker_probe(spec: EngineSpec) -> dict:
         "workers": ctx.workers,
         "audit": getattr(ctx.auditor, "level_name", "off"),
         "first_alpha": str(d.pairs[0].alpha),
-        "flow_calls": ctx.counters.flow_calls,
+        "dinkelbach_iterations": ctx.counters.dinkelbach_iterations,
     }
 
 
@@ -54,7 +54,7 @@ def test_spec_rebuilds_equivalent_context_in_worker_process(audit):
     assert probe["cache_maxsize"] == 7
     assert probe["workers"] == 2
     assert probe["audit"] == audit
-    assert probe["flow_calls"] > 0  # the rebuilt context actually solved
+    assert probe["dinkelbach_iterations"] > 0  # the rebuilt context actually solved
     # same config, same instance => same answer as solving in this process
     local = _worker_probe(spec)
     assert local["first_alpha"] == probe["first_alpha"]

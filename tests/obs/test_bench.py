@@ -155,3 +155,13 @@ def test_suite_names_are_unique():
     names = _names()
     assert len(names) == len(set(names))
     assert len(BENCH_SUITE) >= 12
+
+
+def test_n1k_decompose_cases_run_on_the_ring_dp():
+    names = ["decompose_float_n1k", "decompose_exact_n1k"]
+    assert [c.name for c in select_cases(["decompose"]) if c.name in names] == names
+    report = run_bench(only=["_n1k"], rounds=1)
+    for name in names:
+        counters = report["benchmarks"][name]["counters"]
+        assert counters["flow_calls"] == 0
+        assert counters["dinkelbach_iterations"] > 0

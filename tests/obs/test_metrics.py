@@ -38,7 +38,7 @@ def test_drain_reports_only_new_work():
     delta = drain_worker_metrics()
     assert delta is not None
     assert delta["counters"]["decompositions"] == 1
-    assert delta["counters"]["flow_calls"] >= 1
+    assert delta["counters"]["dinkelbach_iterations"] >= 1
     # A second drain with no new work reports nothing.
     assert drain_worker_metrics() is None
 

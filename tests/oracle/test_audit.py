@@ -10,7 +10,7 @@ solvers.
 
 import pytest
 
-from repro.core import bd_allocation, bottleneck_decomposition
+from repro.core import bd_allocation, bottleneck_decomposition, flow_decomposition
 from repro.engine import SOLVERS, EngineContext, EngineSpec, SolverRegistry
 from repro.exceptions import AuditError, EngineError
 from repro.graphs import ring
@@ -54,8 +54,9 @@ def test_corrupted_solver_is_caught_filed_and_replayable(corrupted):
     ctx, reg, corpus = corrupted
     g = ring([1.0, 2.0, 3.0, 4.0, 5.0])
 
+    # The flow path: ring decompositions take the DP and never ask a solver.
     with pytest.raises(AuditError) as err:
-        bottleneck_decomposition(g, FLOAT, ctx)
+        flow_decomposition(g, FLOAT, ctx)
 
     # the exception carries the corpus record path
     assert err.value.record_path is not None
@@ -83,7 +84,7 @@ def test_record_mode_harvests_without_raising(tmp_path):
                    on_violation="record")
     g = ring([1.0, 2.0, 3.0])
 
-    bottleneck_decomposition(g, FLOAT, ctx)  # completes despite the lies
+    flow_decomposition(g, FLOAT, ctx)  # completes despite the lies
 
     assert ctx.counters.audit_violations > 0
     assert len(FailureCorpus(tmp_path)) >= 1

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core import bottleneck_decomposition
+from repro.core import flow_decomposition
 from repro.engine import EngineContext
 from repro.exceptions import AuditError
 from repro.graphs import ring
@@ -24,7 +24,7 @@ def corpus_with_fixed_bug(tmp_path):
     ctx = EngineContext(solver="dinic", cache_size=0, registry=reg)
     attach_auditor(ctx, level="cheap", corpus_dir=str(tmp_path))
     with pytest.raises(AuditError):
-        bottleneck_decomposition(ring([1.0, 2.0, 3.0]), FLOAT, ctx)
+        flow_decomposition(ring([1.0, 2.0, 3.0]), FLOAT, ctx)
     return tmp_path
 
 
