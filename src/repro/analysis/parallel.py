@@ -156,15 +156,15 @@ def sweep_fingerprint(
     Folds in every input that determines cell values -- the instances
     (weights by exact hex), the vertex per cell, the search grid, and the
     engine configuration -- so a journal can never be resumed against a
-    different sweep without tripping the fingerprint check.
+    different sweep without tripping the fingerprint check.  The solver
+    and engine names are the literals earlier releases folded in, so their
+    journals still resume.
     """
     h = hashlib.sha256()
     h.update(f"grid={grid}".encode())
     if spec is not None:
         h.update(
-            repr(
-                (spec.solver, spec.backend.name, spec.zero_tol, spec.engine)
-            ).encode()
+            repr(("dinic", spec.backend.name, spec.zero_tol, "columnar")).encode()
         )
     for g, v in cells:
         h.update(f"|{v}|{g.n}".encode())

@@ -139,22 +139,23 @@ def best_split(
 class _SplitEvaluator:
     """Evaluates ``U(w_1) = U_{v^1} + U_{v^2}`` for one attacker's sweep.
 
-    Three operating modes, chosen once from the engine context:
+    The cut path graph is built once and weight-swapped per candidate, and
+    each Dinkelbach solve is warm-started from the nearest already-solved
+    candidate's decomposition.  Two operating modes, chosen once from the
+    engine context:
 
-    * ``engine="classic"`` -- every candidate goes through
-      :func:`~repro.attack.sybil.attacker_utility` verbatim (cut the ring,
-      full decomposition, full allocation), exactly the pre-columnar path.
-    * ``engine="columnar"`` with an auditor attached -- the cut path graph
-      is built once and weight-swapped per candidate, and each Dinkelbach
-      solve is warm-started from the previous candidate's decomposition,
-      but every candidate still gets a full solve and a full, audited
-      allocation: auditors see full-fidelity work.
-    * ``engine="columnar"`` without an auditor -- additionally, candidates
-      bracketed by two already-solved points sharing a decomposition
-      signature are *reconstructed* (see :mod:`repro.core.incremental`) and
-      certified by their allocation's saturation checks, and full solves
-      compute only the two attacker endpoint utilities instead of the whole
-      allocation.  Any reconstruction failure falls back to a full solve.
+    * with an auditor attached, every candidate still gets a full solve
+      and a full, audited allocation: auditors see full-fidelity work;
+    * without one, candidates bracketed by two already-solved points
+      sharing a decomposition signature are *reconstructed* (see
+      :mod:`repro.core.incremental`) and certified by their allocation's
+      saturation checks, and full solves compute only the two attacker
+      endpoint utilities instead of the whole allocation.  Any
+      reconstruction failure falls back to a full solve.
+
+    Both modes return what :func:`~repro.attack.sybil.attacker_utility`
+    returns for the same split (cut the ring, full decomposition, full
+    allocation); the tests check the two searches agree bit for bit.
 
     Reconstructed decompositions are never added to the solved-point
     records: only full solves may serve as bracketing evidence, otherwise
@@ -170,28 +171,22 @@ class _SplitEvaluator:
         self.v = v
         self.backend = backend
         self.ctx = ctx
-        self.columnar = ctx.engine == "columnar"
-        self.fast = self.columnar and ctx.auditor is None
-        if self.columnar:
-            base, v1, v2 = cut_ring_at(
-                g, v, backend.scalar(g.weights[v]), backend.scalar(0)
-            )
-            self.base = base
-            self.v1 = v1
-            self.v2 = v2
-            # cut_ring_at puts v^1 at id 0 and v^2 at id n; everything in
-            # between is the ring interior, constant across candidates.
-            self.interior = base.weights[1:-1]
+        self.fast = ctx.auditor is None
+        base, v1, v2 = cut_ring_at(
+            g, v, backend.scalar(g.weights[v]), backend.scalar(0)
+        )
+        self.base = base
+        self.v1 = v1
+        self.v2 = v2
+        # cut_ring_at puts v^1 at id 0 and v^2 at id n; everything in
+        # between is the ring interior, constant across candidates.
+        self.interior = base.weights[1:-1]
         self.last = None
         self._xs: list[float] = []
         self._sigs: list[tuple] = []
         self._by_sig: dict[tuple, BottleneckDecomposition] = {}
 
     def utility(self, w1b: Scalar, w2b: Scalar) -> float:
-        if not self.columnar:
-            return float(
-                attacker_utility(self.g, self.v, w1b, w2b, self.backend, self.ctx)
-            )
         # Lazy imports: repro.theory imports best_split from this module at
         # package-init time, so a top-level theory import here would cycle.
         from ..core import bd_allocation, bottleneck_decomposition

@@ -6,10 +6,9 @@ Usage::
     repro-exp run EXP-T8 [--scale default] [--seed 0] [--json out.json]
     repro-exp all [--scale smoke]      # run the full suite
 
-Engine flags (``run`` / ``all``): ``--solver`` picks the max-flow
-implementation, ``--no-cache`` disables the decomposition cache, and
-``--stats`` prints engine counters (flow calls, cache hits, phase timings)
-after each experiment.
+Engine flags (``run`` / ``all``): ``--no-cache`` disables the
+decomposition cache, and ``--stats`` prints engine counters (flow calls,
+cache hits, phase timings) after each experiment.
 
 Audit flags: ``--audit LEVEL`` (``off``/``cheap``/``differential``/
 ``paranoid``) attaches the :mod:`repro.oracle` audit layer so every flow
@@ -32,7 +31,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .engine import DEFAULT_CACHE_SIZE, SOLVERS, EngineContext, using_context
+from .engine import DEFAULT_CACHE_SIZE, EngineContext, using_context
 from .exceptions import ReproError
 from .experiments import run_all, run_experiment
 from .io import dump_result
@@ -71,17 +70,8 @@ def _common(p: argparse.ArgumentParser) -> None:
                    help="sweep size (smoke ~ seconds, full ~ minutes)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", default=None, help="also dump structured results to this path")
-    p.add_argument("--solver", default=None, choices=sorted(SOLVERS.names()),
-                   help="max-flow solver (default: dinic)")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the bottleneck-decomposition cache")
-    p.add_argument("--engine", default="columnar",
-                   choices=["columnar", "classic"],
-                   help="numeric substrate: columnar (CSR templates, "
-                        "warm-started Dinkelbach, segment reuse in "
-                        "best-response sweeps; bit-identical results) or "
-                        "classic (per-call network builds; the reference "
-                        "path the differential auditor cross-checks)")
     p.add_argument("--stats", action="store_true",
                    help="print engine counters (flow calls, cache hits, timings)")
     p.add_argument("--trace", action="store_true",
@@ -136,10 +126,8 @@ def _common(p: argparse.ArgumentParser) -> None:
 def _engine_context(args: argparse.Namespace) -> EngineContext:
     """A fresh context per invocation, so ``--stats`` counts only this run."""
     ctx = EngineContext(
-        solver=args.solver or "dinic",
         cache_size=0 if args.no_cache else DEFAULT_CACHE_SIZE,
         workers=args.workers,
-        engine=args.engine,
     )
     if args.trace:
         from .obs import Tracer

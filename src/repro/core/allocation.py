@@ -47,6 +47,7 @@ __all__ = [
     "bd_allocation",
     "certified_endpoint_utilities",
     "endpoint_utilities",
+    "pair_network",
 ]
 
 
@@ -93,31 +94,21 @@ class Allocation:
                 )
 
 
-def _pair_network(
+def pair_network(
     g: WeightedGraph,
     B: list[int],
     C: list[int],
     sink_caps: list,
     backend: Backend,
-    ctx: EngineContext | None = None,
 ):
-    """Build the Definition-5 network for one pair; returns (net, arc map).
+    """The Definition-5 network for one pair, built arc by arc; returns
+    ``(net, arc_of)`` with ``arc_of`` mapping resource edges ``(u, v)`` to
+    forward arc ids.
 
-    Under the columnar engine the arc structure comes from a context-cached
-    template (one per ``(topology, B, C)``); capacities are the same
-    expressions as the classic ``add_edge`` build, so the network -- and
-    every flow read off it -- is bit-identical either way.
+    The reference build: allocations solve the same network instantiated
+    from a cached template (:func:`_pair_network`), and the tests compare
+    the two arc for arc.
     """
-    if ctx is not None and ctx.engine == "columnar":
-        tpl, arc_of = ctx.pair_template(g, B, C)
-        avals = [backend.scalar(g.weights[u]) for u in B]
-        if backend.is_exact:
-            inf_cap = backend.total(avals) + 1
-            zero = inf_cap - inf_cap
-        else:
-            inf_cap = math.inf
-            zero = 0.0
-        return tpl.instantiate(avals, sink_caps, inf_cap, zero), arc_of
     nb, nc = len(B), len(C)
     s, t = 0, 1
     bpos = {v: i for i, v in enumerate(B)}
@@ -139,6 +130,31 @@ def _pair_network(
                 arc = net.add_edge(2 + bpos[u], 2 + nb + cpos[v], inf_cap)
                 arc_of[(u, v)] = arc
     return net, arc_of
+
+
+def _pair_network(
+    g: WeightedGraph,
+    B: list[int],
+    C: list[int],
+    sink_caps: list,
+    backend: Backend,
+    ctx: EngineContext,
+):
+    """:func:`pair_network` from a context-cached template (one per
+    ``(topology, B, C)``); returns ``(net, arc_of)``.
+
+    Capacities are the same expressions as the ``add_edge`` build, so the
+    network -- and every flow read off it -- is bit-identical to it.
+    """
+    tpl, arc_of = ctx.pair_template(g, B, C)
+    avals = [backend.scalar(g.weights[u]) for u in B]
+    if backend.is_exact:
+        inf_cap = backend.total(avals) + 1
+        zero = inf_cap - inf_cap
+    else:
+        inf_cap = math.inf
+        zero = 0.0
+    return tpl.instantiate(avals, sink_caps, inf_cap, zero), arc_of
 
 
 def _accumulate_pair(
@@ -214,7 +230,7 @@ def bd_allocation(
         decomp = bottleneck_decomposition(g, backend, ctx)
     x: dict[tuple[int, int], Scalar] = {}
     # Zero flow tolerance even for floats (see bottleneck._maximal_minimizer:
-    # the solvers saturate arcs exactly); the backend tol only enters the
+    # Dinic saturates arcs exactly); the backend tol only enters the
     # final saturation comparison.
     zero_tol = ctx.zero_tol
 
@@ -362,14 +378,9 @@ def _solve_and_check(
     check_sink: bool = True,
     ctx: EngineContext | None = None,
 ) -> None:
-    """Max-flow the pair network and assert Definition 5's saturation.
-
-    Definition 5 reads the realized per-arc flows back out of the residual
-    state, so ``need_arc_flows=True``: a value-only solver (push-relabel)
-    is transparently replaced by Dinic for these solves.
-    """
+    """Max-flow the pair network and assert Definition 5's saturation."""
     ctx = resolve_context(ctx)
-    value = ctx.max_flow(net, 0, 1, zero_tol=zero_tol, need_arc_flows=True)
+    value = ctx.max_flow(net, 0, 1, zero_tol=zero_tol)
     # Verification tolerance: reverse-arc flow accumulation can overshoot the
     # forward capacity by a few ulps when flow arrives over several paths.
     if backend.is_exact:

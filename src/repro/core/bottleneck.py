@@ -167,8 +167,9 @@ def parametric_network(
 
     Returns the network plus the active vertex list in left-copy order
     (left copy of ``verts[i]`` is node ``2 + i``, right copy ``2 + nh + i``).
-    Exposed so the cross-solver property tests can exercise exactly the
-    networks the decomposition solves.
+    The reference build: the decomposition itself solves the same network
+    instantiated from a cached template (:func:`_instantiate_parametric`),
+    and the tests compare the two arc for arc.
     """
     verts = list(active)
     pos = {v: i for i, v in enumerate(verts)}
@@ -201,13 +202,13 @@ def _instantiate_parametric(
     ctx: EngineContext,
     w: list | None = None,
 ) -> tuple[FlowNetwork, list[int]]:
-    """Columnar-engine twin of :func:`parametric_network`.
+    """:func:`parametric_network` from a structure template cached on the
+    context.
 
     Same arc order and the same capacity *expressions* (``lam * w[i]``,
     ``w[i]``, backend-dependent inf cap), so the resulting network is
-    bit-identical to the classically built one -- only the per-arc
-    validation and list regrowth are skipped, via a structure template
-    cached on the context.  The exact backend's inf cap depends on
+    bit-identical to the ``add_edge`` build -- only the per-arc validation
+    and list regrowth are skipped.  The exact backend's inf cap depends on
     ``lam``, which is why capacities are recomputed per instantiation
     while only the arc structure is frozen.
 
@@ -240,21 +241,16 @@ def _maximal_minimizer(
 
     Returns original vertex ids.
     """
-    if ctx.engine == "columnar":
-        net, verts = _instantiate_parametric(g, active, lam, backend, ctx, w)
-    else:
-        net, verts = parametric_network(g, active, lam, backend)
+    net, verts = _instantiate_parametric(g, active, lam, backend, ctx, w)
     nh = len(verts)
     s, t = 0, 1
 
-    # Flow-level tolerance is exactly zero even for floats: the solvers'
-    # pushes zero the bottleneck arc *exactly* (c - c == 0.0 in IEEE), each
+    # Flow-level tolerance is exactly zero even for floats: Dinic's pushes
+    # zero the bottleneck arc *exactly* (c - c == 0.0 in IEEE), each
     # augmentation saturates an arc, and phase count is capacity-independent,
     # so termination does not need a tolerance -- while any positive
     # tolerance would swallow genuinely tiny capacities (instances here span
-    # 12+ orders of magnitude) and corrupt the extracted cut.  Any registered
-    # solver works here: only the min *cut* is read back, which is valid even
-    # for push-relabel's maximum-preflow residuals (see engine.registry).
+    # 12+ orders of magnitude) and corrupt the extracted cut.
     ctx.max_flow(net, s, t, zero_tol=ctx.zero_tol)
     side = max_source_side(net, t, zero_tol=ctx.zero_tol)
     return {verts[i] for i in range(nh) if 2 + i in side}
@@ -317,11 +313,7 @@ def maximal_bottleneck(
     prev_lam = lam
     # The active weights (scalared once, in `active` order) are constant
     # across the descent; only lambda moves between iterations.
-    w_cols = (
-        [backend.scalar(g.weights[v]) for v in active]
-        if ctx.engine == "columnar"
-        else None
-    )
+    w_cols = [backend.scalar(g.weights[v]) for v in active]
     for _ in range(_MAX_DINKELBACH_ITERS):
         ctx.counters.dinkelbach_iterations += 1
         with ctx.span("dinkelbach"):

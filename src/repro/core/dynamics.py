@@ -70,7 +70,12 @@ class DynamicsResult:
 
 
 def _edge_arrays(g: WeightedGraph):
-    """Directed edge arrays (src, dst) plus the reverse permutation."""
+    """Directed edge arrays (src, dst) plus the reverse permutation.
+
+    The reference build: :func:`proportional_response` reads the same
+    arrays from :meth:`ColumnarGraph.directed_arrays`, and the tests
+    compare the two bit for bit.
+    """
     pairs: list[tuple[int, int]] = []
     for (u, v) in g.edges:
         pairs.append((u, v))
@@ -114,22 +119,16 @@ def proportional_response(
         raise ValueError(f"damping must be in [0, 1], got {damping}")
 
     n = g.n
-    if rctx.engine == "columnar":
-        # Same arrays in the same directed-pair order (the columnar builder
-        # preserves _edge_arrays' (u,v),(v,u) emission), but cached on the
-        # graph's CSR view, and the float64 weight column is reused when the
-        # weights are float-able.  Fraction weights fall back to the same
-        # per-element float() conversion as the classic path -- never an
-        # object-dtype array.
-        cols = ColumnarGraph.from_graph(g)
-        src, dst, rev, index = cols.directed_arrays()
-        wf = cols.float_weights()
-        w = wf if wf is not None else np.asarray([float(x) for x in g.weights])
-        deg = np.asarray(cols.indptr[1:] - cols.indptr[:-1], dtype=np.float64)
-    else:
-        src, dst, rev, index = _edge_arrays(g)
-        w = np.asarray([float(x) for x in g.weights])
-        deg = np.asarray([g.degree(v) for v in range(n)], dtype=np.float64)
+    # The directed arrays are cached on the graph's CSR view (same pairs in
+    # the same (u,v),(v,u) order as the reference :func:`_edge_arrays`),
+    # and the float64 weight column is reused when the weights are
+    # float-able.  Fraction weights fall back to a per-element float()
+    # conversion -- never an object-dtype array.
+    cols = ColumnarGraph.from_graph(g)
+    src, dst, rev, index = cols.directed_arrays()
+    wf = cols.float_weights()
+    w = wf if wf is not None else np.asarray([float(x) for x in g.weights])
+    deg = np.asarray(cols.indptr[1:] - cols.indptr[:-1], dtype=np.float64)
 
     x = w[src] / deg[src]
     prev = x.copy()

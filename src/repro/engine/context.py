@@ -1,16 +1,19 @@
 """The engine context: one explicit object for cross-cutting configuration.
 
-Solver choice, numeric backend, flow zero-tolerance, worker count, the
-decomposition cache, and the work counters used to travel through the
-library ad hoc (or not at all -- ``dinic_max_flow`` was hard-coded).
-:class:`EngineContext` bundles them; every layer from ``core`` up through
-the CLI takes an optional ``ctx`` and falls back to a shared module-level
-default, so existing call sites keep today's behavior bit-for-bit while a
-configured context turns solver selection and caching into one-line knobs::
+Numeric backend, flow zero-tolerance, worker count, the decomposition
+cache, and the work counters used to travel through the library ad hoc (or
+not at all).  :class:`EngineContext` bundles them; every layer from
+``core`` up through the CLI takes an optional ``ctx`` and falls back to a
+shared module-level default, so existing call sites keep today's behavior
+bit-for-bit while a configured context turns caching, auditing and tracing
+into one-line knobs::
 
-    ctx = EngineContext(solver="push_relabel")
+    ctx = EngineContext(cache_size=0)
     inst = incentive_ratio(g, ctx=ctx)
     print(ctx.stats())
+
+Every max-flow solve goes through :meth:`EngineContext.max_flow`, which
+runs Dinic (:func:`repro.flow.dinic.dinic_max_flow`).
 
 Process pools cannot usefully share a mutable context, so a frozen
 :class:`EngineSpec` carries the *configuration* across pickling boundaries
@@ -26,11 +29,11 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from ..exceptions import EngineError, NumericalInstabilityError
+from ..flow import dinic
 from ..flow.network import FlowNetwork
 from ..numeric import Backend, FLOAT
 from .cache import DecompositionCache
 from .counters import Counters
-from .registry import DEFAULT_SOLVER, SOLVERS, Solver, SolverRegistry
 
 __all__ = [
     "EngineSpec",
@@ -99,7 +102,6 @@ class EngineSpec:
     context per distinct spec).
     """
 
-    solver: str = DEFAULT_SOLVER
     backend: Backend = FLOAT
     zero_tol: float = 0.0
     cache_size: int = DEFAULT_CACHE_SIZE
@@ -107,7 +109,6 @@ class EngineSpec:
     audit: str = "off"
     corpus_dir: Optional[str] = None
     trace: bool = False
-    engine: str = "columnar"
     #: Free-form discriminator, not part of the built context.  Two specs
     #: that differ only in ``tag`` build identical contexts but memoize
     #: *separately* in worker processes (``_context_for`` keys on the whole
@@ -115,15 +116,12 @@ class EngineSpec:
     #: shard dispatches never share a metrics-drain source.
     tag: str = ""
 
-    def build(self, registry: SolverRegistry | None = None) -> "EngineContext":
+    def build(self) -> "EngineContext":
         ctx = EngineContext(
-            solver=self.solver,
             backend=self.backend,
             zero_tol=self.zero_tol,
             cache_size=self.cache_size,
             workers=self.workers,
-            engine=self.engine,
-            registry=registry if registry is not None else SOLVERS,
         )
         if self.trace:
             # Lazy import for the same leaf-package reason as the auditor:
@@ -150,9 +148,6 @@ class EngineContext:
 
     Parameters
     ----------
-    solver:
-        Registry name of the max-flow solver (``"dinic"``,
-        ``"edmonds_karp"``, ``"push_relabel"``).
     backend:
         Default numeric backend for call sites that do not pass one
         explicitly.
@@ -165,24 +160,12 @@ class EngineContext:
         LRU capacity of the decomposition cache; ``0`` disables caching.
     workers:
         Default process count for parallel sweeps (``0`` = serial).
-    engine:
-        ``"columnar"`` (default) routes the hot numeric paths through the
-        CSR substrate: flow-template instantiation, warm-started
-        Dinkelbach, vectorized dynamics arrays, and (auditor-off only)
-        segment-reuse in the best-response search.  ``"classic"`` keeps the
-        original per-object construction everywhere -- the reference path
-        the differential checks compare against.  Both engines decompose
-        rings and paths with the ring DP (``core.ringdp``), which builds no
-        per-object networks; the choice matters on the flow path.
     """
 
-    solver: str = DEFAULT_SOLVER
     backend: Backend = FLOAT
     zero_tol: float = 0.0
     cache_size: int = DEFAULT_CACHE_SIZE
     workers: int = 0
-    engine: str = "columnar"
-    registry: SolverRegistry = field(default_factory=lambda: SOLVERS, repr=False)
     cache: DecompositionCache = field(default=None, repr=False)  # type: ignore[assignment]
     counters: Counters = field(default_factory=Counters, repr=False)
     #: Optional audit hook (see :mod:`repro.oracle`).  Typed loosely so the
@@ -211,44 +194,22 @@ class EngineContext:
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise EngineError(f"workers must be >= 0, got {self.workers}")
-        if self.engine not in ("columnar", "classic"):
-            raise EngineError(
-                f"unknown engine {self.engine!r} (expected 'columnar' or 'classic')")
-        self.registry.get(self.solver)  # fail fast on unknown names
         if self.cache is None:
             self.cache = DecompositionCache(self.cache_size)
         else:
             self.cache_size = self.cache.maxsize
 
-    # -- solver dispatch -------------------------------------------------
-    def solver_entry(self, need_arc_flows: bool = False) -> Solver:
-        """The configured solver, or the Dinic fallback when the caller
-        must read per-arc flows and the configured solver is value-only."""
-        entry = self.registry.get(self.solver)
-        if need_arc_flows and not entry.supports_arc_flows:
-            self.counters.arc_flow_fallbacks += 1
-            return self.registry.get(DEFAULT_SOLVER)
-        return entry
+    # -- max flow ---------------------------------------------------------
+    def max_flow(self, net: FlowNetwork, s: int, t: int, zero_tol: float | None = None):
+        """Solve ``net`` with Dinic; returns the flow value.
 
-    def max_flow(
-        self,
-        net: FlowNetwork,
-        s: int,
-        t: int,
-        zero_tol: float | None = None,
-        need_arc_flows: bool = False,
-    ):
-        """Solve ``net`` with the configured solver; returns the flow value.
-
-        ``need_arc_flows=True`` guarantees the residual state left in
-        ``net`` is a genuine max *flow* (conservation at every node), which
-        Definition 5 needs to read off per-arc amounts.
+        The residual state left in ``net`` is a genuine max flow, so
+        callers may read both the min cut and the per-arc flows off it.
         """
-        entry = self.solver_entry(need_arc_flows=need_arc_flows)
         self.counters.flow_calls += 1
         tol = self.zero_tol if zero_tol is None else zero_tol
         with self.span("flow"):
-            value = entry.fn(net, s, t, tol)
+            value = dinic.dinic_max_flow(net, s, t, tol)
         if _FLOW_FAULT_HOOK is not None:
             value = _FLOW_FAULT_HOOK(value)
         # Graceful-degradation boundary: every solve's value must be finite
@@ -259,11 +220,11 @@ class EngineContext:
         if isinstance(value, float) and not math.isfinite(value):
             raise NumericalInstabilityError(
                 f"max-flow value {value!r} is not finite "
-                f"(solver {entry.name}, n={net.n}, s={s}, t={t}); "
+                f"(solver dinic, n={net.n}, s={s}, t={t}); "
                 f"the instance needs the exact backend"
             )
         if self.auditor is not None:
-            self.auditor.on_flow(self, net, s, t, value, tol, entry)
+            self.auditor.on_flow(self, net, s, t, value, tol)
         return value
 
     # -- tracing -----------------------------------------------------------
@@ -362,12 +323,10 @@ class EngineContext:
     def spec(self) -> EngineSpec:
         """Configuration-only snapshot (see :class:`EngineSpec`)."""
         return EngineSpec(
-            solver=self.solver,
             backend=self.backend,
             zero_tol=self.zero_tol,
             cache_size=self.cache.maxsize,
             workers=self.workers,
-            engine=self.engine,
             audit=getattr(self.auditor, "level_name", "off") if self.auditor else "off",
             corpus_dir=getattr(self.auditor, "corpus_dir", None) if self.auditor else None,
             trace=self.tracer is not None,
@@ -379,9 +338,11 @@ class EngineContext:
         them, as one plain serializable dict."""
         out = self.counters.snapshot()
         out["cache"] = self.cache.stats()
-        out["solver"] = self.solver
+        # The literals earlier releases printed when the solver and engine
+        # were configurable; --stats lines and server stats keep their bytes.
+        out["solver"] = "dinic"
         out["backend"] = self.backend.name
-        out["engine"] = self.engine
+        out["engine"] = "columnar"
         out["spans"] = self.tracer.snapshot() if self.tracer is not None else {}
         return out
 
@@ -419,7 +380,7 @@ def using_context(ctx: EngineContext):
 
     Everything that receives ``ctx=None`` inside the ``with`` body --
     including experiment modules that have not grown a ``ctx`` parameter --
-    resolves to ``ctx``, so the CLI's ``--solver``/``--no-cache`` flags
+    resolves to ``ctx``, so the CLI's ``--no-cache``/``--audit`` flags
     reach every solve of a run.  The previous default is restored on exit.
     """
     global _DEFAULT_CONTEXT

@@ -73,10 +73,12 @@ EXPERIMENTS = {
 
 def _suite_fingerprint(seed: int, scale: str, ctx: Optional[EngineContext]) -> str:
     """Fingerprint for the experiment-level checkpoint journal: everything
-    that determines experiment outputs (seed, scale, engine config)."""
+    that determines experiment outputs (seed, scale, engine config).  The
+    solver name is the literal earlier releases folded in, so their
+    journals still resume."""
     engine = ()
     if ctx is not None:
-        engine = (ctx.solver, ctx.backend.name, repr(ctx.zero_tol))
+        engine = ("dinic", ctx.backend.name, repr(ctx.zero_tol))
     return hashlib.sha256(repr((seed, scale, engine)).encode()).hexdigest()[:16]
 
 

@@ -1,9 +1,15 @@
-"""Max-flow substrate: residual network plus three independent solvers."""
+"""Max-flow substrate: residual network, Dinic, and a reference solver.
+
+:func:`dinic_max_flow` is the production solver (every engine solve goes
+through :meth:`repro.engine.EngineContext.max_flow`).
+:func:`edmonds_karp_max_flow` is kept only as the differential oracle's
+independent reference: unlike networkx it takes exact ``Fraction``
+capacities.
+"""
 
 from .network import FlowNetwork
 from .dinic import dinic_max_flow
 from .edmonds_karp import edmonds_karp_max_flow
-from .push_relabel import push_relabel_max_flow
 from .mincut import min_source_side, max_source_side, cut_value
 from .template import (
     FlowTemplate,
@@ -23,7 +29,6 @@ __all__ = [
     "parametric_template",
     "dinic_max_flow",
     "edmonds_karp_max_flow",
-    "push_relabel_max_flow",
     "min_source_side",
     "max_source_side",
     "cut_value",

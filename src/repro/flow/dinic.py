@@ -1,6 +1,6 @@
 """Dinic's max-flow algorithm (BFS level graph + iterative blocking flow).
 
-This is the library's default solver: ``O(V^2 E)`` in general and
+This is the library's only production solver: ``O(V^2 E)`` in general and
 ``O(E sqrt(V))`` on the unit-ish bipartite networks that Definition 5 and
 the parametric bottleneck cut produce.  It is written iteratively (explicit
 stack, ``iter`` pointers) so deep instances never hit the recursion limit,

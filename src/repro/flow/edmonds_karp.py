@@ -1,9 +1,10 @@
 """Edmonds-Karp max flow (shortest augmenting paths).
 
 Slower than Dinic (``O(V E^2)``) but much simpler; it exists as an
-independent implementation for cross-checking: the test suite solves the
-same networks with Dinic, Edmonds-Karp, push-relabel, and networkx and
-requires identical values.
+independent implementation for cross-checking: the differential auditor
+and the test suite solve the same networks with Dinic, Edmonds-Karp and
+networkx and require identical values.  Unlike networkx it takes exact
+``Fraction`` capacities.
 """
 
 from __future__ import annotations

@@ -77,7 +77,7 @@ class FlowTemplate:
         ``zero`` must be the backend's zero of the same scalar type as the
         capacities (``0.0`` float / ``Fraction(0)`` exact) -- the same value
         ``add_edge`` would have derived for each reverse arc, so solver
-        arithmetic stays bit-identical to a classically built network.
+        arithmetic stays bit-identical to a network built by ``add_edge``.
         ``head``/``adj`` are shared with the template (never mutated by the
         solvers); ``cap``/``orig_cap`` are fresh per instance.
         """
@@ -140,10 +140,10 @@ def parametric_template(g, active: Sequence[int]) -> FlowTemplate:
 
 
 def pair_template(g, B: Sequence[int], C: Sequence[int]):
-    """Template + arc map matching ``core.allocation._pair_network``.
+    """Template + arc map matching ``core.allocation.pair_network``.
 
-    ``B``/``C`` must be the exact (sorted) member lists the classic builder
-    receives.  Instantiate with ``avals = [w_u for u in B]`` and
+    ``B``/``C`` must be the exact (sorted) member lists the ``add_edge``
+    builder receives.  Instantiate with ``avals = [w_u for u in B]`` and
     ``bvals = sink_caps``.  Returns ``(template, arc_of)`` where ``arc_of``
     maps ``(u, v)`` resource edges to forward arc ids; the dict is shared
     read-only across instantiations.

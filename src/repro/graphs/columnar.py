@@ -148,10 +148,10 @@ class ColumnarGraph:
         """Directed edge arrays ``(src, dst, rev, index)`` for the dynamics.
 
         Ordering contract: pairs are emitted per sorted undirected edge as
-        ``(u, v), (v, u)`` -- exactly the order the scalar
-        ``dynamics._edge_arrays`` historically produced -- so ``bincount``
-        accumulations are bit-identical between the engines.  The reverse
-        permutation is then just ``i ^ 1``.
+        ``(u, v), (v, u)`` -- exactly the order of the scalar reference
+        ``dynamics._edge_arrays`` -- so ``bincount`` accumulations are
+        bit-identical to it.  The reverse permutation is then just
+        ``i ^ 1``.
         """
         if self._directed is None:
             indptr, indices = self.indptr, self.indices

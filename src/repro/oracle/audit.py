@@ -14,7 +14,7 @@
     Theorem 8 bound on each best response.  O(instance) per operation.
 ``differential``
     Everything above, plus sampled re-solves against independent oracles
-    (the other registered solvers, networkx, the flow path for
+    (Edmonds-Karp and networkx for flows, the flow path for
     decompositions the ring DP served, and -- for small instances -- the
     brute-force subset enumeration).  Sampling is counter-based, never
     randomized, so a failing run replays deterministically.
@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING
 
 from ..core.ringdp import dp_weights
 from ..engine.context import EngineContext
-from ..engine.registry import Solver
 from ..exceptions import AuditError, EngineError
 from ..flow.network import FlowNetwork
 from ..graphs import WeightedGraph
@@ -143,19 +142,14 @@ class Auditor:
         t: int,
         value,
         zero_tol: float,
-        entry: Solver,
     ) -> None:
         counters = ctx.counters
         counters.audit_flow_checks += 1
-        problems = flow_certificate_problems(
-            net, s, t, value, zero_tol, arc_flows_valid=entry.supports_arc_flows
-        )
+        problems = flow_certificate_problems(net, s, t, value, zero_tol)
         self._flow_seen += 1
         if self.differential and self._sampled(self._flow_seen):
             diff_problems, checks = differential_flow_problems(
                 net, s, t, value, zero_tol,
-                solved_by=entry,
-                registry=ctx.registry,
                 nx_node_limit=self.config.nx_node_limit,
             )
             counters.audit_differential_checks += checks
@@ -169,7 +163,7 @@ class Auditor:
                     "network": network_to_dict(net),
                     "s": s, "t": t,
                     "zero_tol": zero_tol,
-                    "solver": entry.name,
+                    "solver": "dinic",
                 },
             )
 
@@ -185,7 +179,7 @@ class Auditor:
                 g, decomp, brute_limit=self.config.brute_limit
             )
             if dp_weights(g, decomp.backend) is not None:
-                ring_problems, ring_checks = ring_dp_problems(g, decomp, ctx)
+                ring_problems, ring_checks = ring_dp_problems(g, decomp)
                 diff_problems += ring_problems
                 checks += ring_checks
             counters.audit_differential_checks += checks
@@ -254,7 +248,7 @@ class Auditor:
                 kind=kind,
                 problems=tuple(problems),
                 context={
-                    "solver": ctx.solver,
+                    "solver": "dinic",
                     "backend": backend_to_dict(
                         backend if backend is not None else ctx.backend
                     ),

@@ -6,8 +6,8 @@ returns the wrong optimum with a matching wrong cut.  The differential
 layer closes that gap by re-solving sampled calls against genuinely
 independent references:
 
-* every *other* solver in the engine's registry (three algorithm families
-  ship built in: Dinic, Edmonds-Karp, FIFO push-relabel);
+* Edmonds-Karp (:func:`repro.flow.edmonds_karp_max_flow`), a second
+  augmenting-path family that also takes exact ``Fraction`` capacities;
 * ``networkx.maximum_flow_value`` -- an external implementation sharing no
   code with this library (float-capacity networks only; networkx's preflow
   push mixes ``float('inf')`` into its arithmetic, which would corrupt
@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING
 from ..core.bottleneck import flow_decomposition
 from ..core.bruteforce import brute_force_decomposition, brute_force_min_alpha
 from ..engine.context import EngineContext
-from ..engine.registry import Solver, SolverRegistry
 from ..exceptions import ReproError
+from ..flow import edmonds_karp_max_flow
 from ..flow.network import FlowNetwork
 from ..graphs import WeightedGraph
 from ..numeric import EXACT
@@ -69,34 +69,26 @@ def differential_flow_problems(
     t: int,
     value,
     zero_tol: float,
-    solved_by: Solver,
-    registry: SolverRegistry,
     nx_node_limit: int = 0,
 ) -> tuple[list[str], int]:
-    """Re-solve the original network with every other registered solver.
+    """Re-solve the original network with Edmonds-Karp (and networkx).
 
     ``net`` is the already-solved network (its ``orig_cap`` recovers the
-    instance); ``solved_by`` names the solver whose answer is under audit.
-    When ``nx_node_limit`` is positive and the network is float-capacity
-    with at most that many nodes, networkx is consulted as well.
+    instance); ``value`` is Dinic's answer under audit.  When
+    ``nx_node_limit`` is positive and the network is float-capacity with
+    at most that many nodes, networkx is consulted as well.
     """
     problems: list[str] = []
-    checks = 0
-    for name in registry.names():
-        if name == solved_by.name:
-            continue
-        other = registry.get(name)
-        try:
-            other_value = other.fn(_pristine(net), s, t, zero_tol)
-        except ReproError as exc:
-            checks += 1
-            problems.append(f"reference solver {name!r} failed on the instance: {exc}")
-            continue
-        checks += 1
-        if not _close(other_value, value):
+    checks = 1
+    try:
+        ek_value = edmonds_karp_max_flow(_pristine(net), s, t, zero_tol)
+    except ReproError as exc:
+        problems.append(f"reference solver 'edmonds_karp' failed on the instance: {exc}")
+    else:
+        if not _close(ek_value, value):
             problems.append(
-                f"solver disagreement: {solved_by.name!r} = {value!r}, "
-                f"{name!r} = {other_value!r}"
+                f"solver disagreement: 'dinic' = {value!r}, "
+                f"'edmonds_karp' = {ek_value!r}"
             )
     if nx_node_limit and net.n <= nx_node_limit:
         nx_value = networkx_max_flow_value(net, s, t)
@@ -104,7 +96,7 @@ def differential_flow_problems(
             checks += 1
             if not _close(nx_value, value):
                 problems.append(
-                    f"solver disagreement: {solved_by.name!r} = {value!r}, "
+                    f"solver disagreement: 'dinic' = {value!r}, "
                     f"networkx = {nx_value!r}"
                 )
     return problems, checks
@@ -204,7 +196,7 @@ def _pair_sets(d: "BottleneckDecomposition") -> list:
 
 
 def ring_dp_problems(
-    g: WeightedGraph, d: "BottleneckDecomposition", ctx: EngineContext
+    g: WeightedGraph, d: "BottleneckDecomposition"
 ) -> tuple[list[str], int]:
     """Re-solve a ring-DP decomposition with the flow path it replaced.
 
@@ -214,13 +206,12 @@ def ring_dp_problems(
     exactly, while the float flow path can misplace a tie (e.g.
     ``ring([1.0, 0.1, 0.1, 1.0])``: flow returns ``B = {0, 2}``, the DP and
     the exact backend ``B = C = V``).  The references run on a fresh
-    context of the same solver and engine, uncached and unaudited.
+    context, uncached and unaudited.
     """
     backend = d.backend
 
     def fresh() -> EngineContext:
-        return EngineContext(solver=ctx.solver, engine=ctx.engine,
-                             registry=ctx.registry, cache_size=0)
+        return EngineContext(cache_size=0)
 
     def bits(x) -> list:
         return [(p.B, p.C, repr(p.alpha)) for p in x.pairs]

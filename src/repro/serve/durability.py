@@ -92,17 +92,18 @@ def durability_fingerprint(spec: EngineSpec) -> str:
     and the engine configuration.  Deliberately excludes serving knobs
     (shards, batch sizes, cache size, deadlines) -- those change timing
     and capacity, never bytes, and a restart that tunes them must still
-    reuse its journal.
+    reuse its journal.  ``solver`` and ``engine`` are the literals earlier
+    releases wrote, so their journals and snapshots still load.
     """
     from .protocol import PROTOCOL_VERSION
 
     return json.dumps({
         "protocol": PROTOCOL_VERSION,
         "durability_format": DURABILITY_FORMAT,
-        "solver": spec.solver,
+        "solver": "dinic",
         "backend": spec.backend.name,
         "zero_tol": spec.zero_tol,
-        "engine": spec.engine,
+        "engine": "columnar",
     }, sort_keys=True, separators=(",", ":"))
 
 

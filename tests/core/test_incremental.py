@@ -99,15 +99,19 @@ def test_certified_utilities_match_full_allocation(backend):
     assert c1 == alloc.utilities[v1] and c2 == alloc.utilities[v2]
 
 
-def test_columnar_sweep_reconstructs_and_matches_classic():
-    # End-to-end: a best-response sweep under the columnar engine actually
-    # exercises segment reuse (reconstructions + warm starts, strictly
-    # fewer full solves) and still lands on the classic answer bit-for-bit.
+def test_columnar_sweep_reconstructs_and_matches_classic(monkeypatch):
+    # End-to-end: a best-response sweep actually exercises segment reuse
+    # (reconstructions + warm starts, strictly fewer full solves) and still
+    # lands bit-for-bit on the answer of the same search evaluating every
+    # candidate with a full attacker_utility solve.
     from repro.attack import best_split
 
+    from ..references import use_reference_split_utility
+
     g = ring([4.0, 1.0, 2.0, 3.0, 5.0, 2.5, 1.5, 3.5])
-    cols, classic = EngineContext(engine="columnar"), EngineContext(engine="classic")
+    cols, classic = EngineContext(), EngineContext()
     rk = best_split(g, 0, grid=24, ctx=cols)
+    use_reference_split_utility(monkeypatch)
     rc = best_split(g, 0, grid=24, ctx=classic)
     assert (rk.w1, rk.w2, rk.utility, rk.honest_utility) == (
         rc.w1, rc.w2, rc.utility, rc.honest_utility

@@ -1,9 +1,10 @@
 """Flow-template and flat-array view tests.
 
-The columnar engine's whole soundness story rests on templates producing
-*bit-identical* networks to the classic ``add_edge`` builds -- same arc
-order, same capacity objects -- so these tests compare the raw ``head`` /
-``adj`` / ``cap`` columns, not just solved flow values.
+The engine's flow paths rest on templates producing *bit-identical*
+networks to the reference ``add_edge`` builds (``parametric_network``,
+``pair_network``) -- same arc order, same capacity objects -- so these
+tests compare the raw ``head`` / ``adj`` / ``cap`` columns, not just
+solved flow values.
 """
 
 import math
@@ -40,7 +41,7 @@ def test_parametric_template_matches_classic_build(backend):
     active = [0, 1, 2, 4, 5]
     lam = backend.scalar(1) / backend.scalar(2)
     classic, verts_c = parametric_network(g, active, lam, backend)
-    ctx = EngineContext(engine="columnar")
+    ctx = EngineContext()
     templ, verts_t = _instantiate_parametric(g, active, lam, backend, ctx)
     assert verts_c == verts_t
     _assert_same_network(classic, templ)
@@ -62,13 +63,13 @@ def test_template_shares_structure_but_not_capacities():
 
 
 def test_pair_template_arc_map_matches_classic():
-    from repro.core.allocation import _pair_network
+    from repro.core.allocation import _pair_network, pair_network
 
     g = ring([1.0, 2.0, 3.0, 4.0])
     B, C = [1], [0, 2]
     sink_caps = [0.5, 1.5]
-    classic, arcs_c = _pair_network(g, B, C, sink_caps, FLOAT, None)
-    ctx = EngineContext(engine="columnar")
+    classic, arcs_c = pair_network(g, B, C, sink_caps, FLOAT)
+    ctx = EngineContext()
     templ, arcs_t = _pair_network(g, B, C, sink_caps, FLOAT, ctx)
     _assert_same_network(classic, templ)
     assert arcs_c == arcs_t

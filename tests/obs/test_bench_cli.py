@@ -26,10 +26,11 @@ def test_run_writes_default_named_report(tmp_path, monkeypatch, capsys):
 
 def test_run_explicit_out_and_solver(tmp_path):
     out = tmp_path / "custom.json"
-    rc = main(["run", "--only", "maxflow_edmonds_karp", "--rounds", "1",
-               "--solver", "edmonds_karp", "--out", str(out)])
+    rc = main(["run", "--only", "maxflow_dinic", "--rounds", "1",
+               "--out", str(out)])
     assert rc == 0
-    assert json.loads(out.read_text())["solver"] == "edmonds_karp"
+    # the report keeps the solver field earlier baselines carry
+    assert json.loads(out.read_text())["solver"] == "dinic"
 
 
 def test_run_unknown_filter_exits_2(capsys):
@@ -62,7 +63,8 @@ def test_compare_regression_exits_1(tmp_path, capsys):
 def test_compare_subset_needs_allow_missing(tmp_path, capsys):
     full = tmp_path / "full.json"
     sub = tmp_path / "sub.json"
-    main(["run", "--only", "maxflow", "--rounds", "1", "--out", str(full)])
+    main(["run", "--only", "maxflow", "--only", "decompose_float_n8",
+          "--rounds", "1", "--out", str(full)])
     main(["run", "--only", "maxflow_dinic", "--rounds", "1", "--out", str(sub)])
     capsys.readouterr()
     assert main(["compare", str(full), str(sub), "--threshold", "300"]) == 1

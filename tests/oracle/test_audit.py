@@ -1,57 +1,56 @@
 """End-to-end audit layer: a corrupted solver is caught, filed, replayed.
 
-The central acceptance scenario: register a deliberately lying max-flow
-solver, run real engine work through an audited context, and check the
-full pipeline -- certificate failure, counter bump, corpus record,
-:class:`AuditError` with the record path, and a replay that reproduces
-against the corrupted registry but comes back clean against the honest
-solvers.
+The central acceptance scenario: swap in a deliberately lying Dinic, run
+real engine work through an audited context, and check the full pipeline
+-- certificate failure, counter bump, corpus record, :class:`AuditError`
+with the record path, and a replay that reproduces against the corrupted
+solver but comes back clean against the honest one.
 """
 
 import pytest
 
 from repro.core import bd_allocation, bottleneck_decomposition, flow_decomposition
-from repro.engine import SOLVERS, EngineContext, EngineSpec, SolverRegistry
-from repro.exceptions import AuditError, EngineError
+from repro.engine import EngineContext, EngineSpec
+from repro.exceptions import AuditError, CorpusError, EngineError
+from repro.flow import dinic
 from repro.graphs import ring
+from repro.io.serialization import graph_to_dict
 from repro.numeric import FLOAT
 from repro.oracle import (
     AuditConfig,
     FailureCorpus,
+    FailureRecord,
     attach_auditor,
+    backend_to_dict,
     differential_flow_problems,
     replay_corpus,
     replay_record,
 )
 
 
-def lying_registry(factor=2.0):
-    """The built-in registry with ``dinic`` replaced by a solver that
+def install_lying_dinic(monkeypatch, factor=2.0):
+    """Replace ``repro.flow.dinic.dinic_max_flow`` -- the attribute both
+    ``EngineContext.max_flow`` and corpus replay call -- with a solver that
     routes the flow correctly but reports ``factor`` times the true value."""
-    reg = SolverRegistry()
-    for name in SOLVERS.names():
-        entry = SOLVERS.get(name)
-        reg.register(name, entry.fn, supports_arc_flows=entry.supports_arc_flows)
-    honest = SOLVERS.get("dinic").fn
+    honest = dinic.dinic_max_flow
 
-    def lying(net, s, t, zero_tol):
+    def lying(net, s, t, zero_tol=0.0):
         return honest(net, s, t, zero_tol) * factor
 
-    reg.register("dinic", lying)
-    return reg
+    monkeypatch.setattr(dinic, "dinic_max_flow", lying)
 
 
 @pytest.fixture
-def corrupted(tmp_path):
-    """An audited context whose default solver lies, filing into tmp."""
-    reg = lying_registry()
-    ctx = EngineContext(solver="dinic", cache_size=0, registry=reg)
+def corrupted(tmp_path, monkeypatch):
+    """An audited context whose solver lies, filing into tmp."""
+    install_lying_dinic(monkeypatch)
+    ctx = EngineContext(cache_size=0)
     attach_auditor(ctx, level="cheap", corpus_dir=str(tmp_path / "corpus"))
-    return ctx, reg, FailureCorpus(tmp_path / "corpus")
+    return ctx, FailureCorpus(tmp_path / "corpus")
 
 
-def test_corrupted_solver_is_caught_filed_and_replayable(corrupted):
-    ctx, reg, corpus = corrupted
+def test_corrupted_solver_is_caught_filed_and_replayable(corrupted, monkeypatch):
+    ctx, corpus = corrupted
     g = ring([1.0, 2.0, 3.0, 4.0, 5.0])
 
     # The flow path: ring decompositions take the DP and never ask a solver.
@@ -69,17 +68,18 @@ def test_corrupted_solver_is_caught_filed_and_replayable(corrupted):
     assert rec.context["solver"] == "dinic"
     assert any("cut" in p for p in rec.problems)
 
-    # replay against the corrupted registry: still broken
-    assert replay_record(rec, registry=reg).reproduced
-    # replay against the honest built-in solvers: the bug is "fixed"
+    # replay against the corrupted solver: still broken
+    assert replay_record(rec).reproduced
+    # replay against the honest solver: the bug is "fixed"
+    monkeypatch.undo()
     assert not replay_record(rec).reproduced
     results = replay_corpus(corpus)
     assert [r.reproduced for _, r in results] == [False]
 
 
-def test_record_mode_harvests_without_raising(tmp_path):
-    reg = lying_registry()
-    ctx = EngineContext(solver="dinic", cache_size=0, registry=reg)
+def test_record_mode_harvests_without_raising(tmp_path, monkeypatch):
+    install_lying_dinic(monkeypatch)
+    ctx = EngineContext(cache_size=0)
     attach_auditor(ctx, level="cheap", corpus_dir=str(tmp_path),
                    on_violation="record")
     g = ring([1.0, 2.0, 3.0])
@@ -112,12 +112,26 @@ def test_differential_layer_flags_value_disagreement():
     value = net_ctx.max_flow(net, 0, 2)
     wrong = value + 0.5
     problems, checks = differential_flow_problems(
-        net, 0, 2, wrong, 0.0,
-        solved_by=SOLVERS.get("dinic"), registry=SOLVERS, nx_node_limit=16,
+        net, 0, 2, wrong, 0.0, nx_node_limit=16,
     )
-    assert checks >= 3  # two other solvers + networkx
+    assert checks == 2  # Edmonds-Karp + networkx
     assert all("disagreement" in p for p in problems)
     assert len(problems) == checks  # every reference disputes the wrong value
+
+
+def test_replay_refuses_a_record_for_another_solver():
+    """Only Dinic is left to replay on: a record naming any other solver is
+    a typed corpus error, not a KeyError."""
+    rec = FailureRecord(
+        kind="decomposition",
+        problems=("recorded under a solver that no longer exists",),
+        context={"solver": "push_relabel", "backend": backend_to_dict(FLOAT),
+                 "zero_tol": 0.0, "level": "cheap"},
+        payload={"graph": graph_to_dict(ring([1.0, 2.0, 3.0]))},
+        created="2026-01-01T00:00:00Z",
+    )
+    with pytest.raises(CorpusError, match="push_relabel"):
+        replay_record(rec)
 
 
 def test_audit_config_validation_and_paranoid_sampling():
@@ -140,7 +154,7 @@ def test_audit_config_validation_and_paranoid_sampling():
 
 
 def test_spec_carries_audit_config_across_rebuild(tmp_path):
-    ctx = EngineContext(solver="edmonds_karp", cache_size=4)
+    ctx = EngineContext(cache_size=4)
     attach_auditor(ctx, level="differential", corpus_dir=str(tmp_path))
     spec = ctx.spec()
     assert spec.audit == "differential"

@@ -13,18 +13,19 @@ from repro.numeric import FLOAT
 from repro.oracle import FailureCorpus, FailureRecord, attach_auditor, backend_to_dict
 from repro.oracle.cli import main as oracle_main
 
-from .test_audit import lying_registry
+from .test_audit import install_lying_dinic
 
 
 @pytest.fixture
 def corpus_with_fixed_bug(tmp_path):
     """A corpus holding one record from the lying-solver era: it replays
-    clean against today's honest solvers (i.e. the bug is fixed)."""
-    reg = lying_registry()
-    ctx = EngineContext(solver="dinic", cache_size=0, registry=reg)
-    attach_auditor(ctx, level="cheap", corpus_dir=str(tmp_path))
-    with pytest.raises(AuditError):
-        flow_decomposition(ring([1.0, 2.0, 3.0]), FLOAT, ctx)
+    clean against today's honest solver (i.e. the bug is fixed)."""
+    with pytest.MonkeyPatch.context() as mp:
+        install_lying_dinic(mp)
+        ctx = EngineContext(cache_size=0)
+        attach_auditor(ctx, level="cheap", corpus_dir=str(tmp_path))
+        with pytest.raises(AuditError):
+            flow_decomposition(ring([1.0, 2.0, 3.0]), FLOAT, ctx)
     return tmp_path
 
 

@@ -102,7 +102,7 @@ def test_float_tie_the_flow_path_misplaces():
     g = ring([1.0, 0.1, 0.1, 1.0])
     d = bottleneck_decomposition(g, FLOAT, _ctx())
     assert _sets(d) == [(frozenset(range(4)), frozenset(range(4)))]
-    assert ring_dp_problems(g, d, _ctx()) == ([], 2)
+    assert ring_dp_problems(g, d) == ([], 2)
 
 
 def _disjoint_union(g, h):
@@ -141,7 +141,7 @@ def test_near_tie_corpus_records_through_the_dp(name):
     d = bottleneck_decomposition(g, FLOAT, _ctx())
     assert decomposition_problems(g, d) == []
     assert _bits(d) == _bits(flow_decomposition(g, FLOAT, _ctx()))
-    assert ring_dp_problems(g, d, _ctx()) == ([], 1)
+    assert ring_dp_problems(g, d) == ([], 1)
 
 
 def test_dbl_max_corpus_record_raises_typed_error_on_the_dp_path():

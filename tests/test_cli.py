@@ -33,12 +33,12 @@ def test_run_unknown_experiment(capsys):
 
 
 def test_run_with_solver_and_stats(capsys):
-    code = main(["run", "EXP-F1", "--scale", "smoke",
-                 "--solver", "edmonds_karp", "--stats"])
+    code = main(["run", "EXP-F1", "--scale", "smoke", "--stats"])
     assert code == 0
     out = capsys.readouterr().out
     assert "PASS" in out
-    assert "engine: solver=edmonds_karp" in out
+    # the stats line names the one solver, as earlier releases printed it
+    assert "engine: solver=dinic" in out
     # the CLI context is installed as the run's default, so even experiments
     # without a ctx parameter route their solves (and counters) through it
     assert "flow calls=0" not in out
@@ -80,6 +80,7 @@ def test_parser_rejects_bad_audit_level():
 
 
 def test_parser_rejects_bad_solver():
+    # --solver no longer exists: Dinic is the only solver
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "EXP-T8", "--solver", "simplex"])
 

@@ -23,6 +23,8 @@ from repro.theory.breakpoints import sweep_regimes
 
 import pytest
 
+from ..references import use_reference_networks
+
 
 def _sliver_evaluate(width):
     """Signature function on [0, 1] with a sliver regime of ``width``
@@ -107,8 +109,11 @@ def test_corpus_09f79b9c8cc3_reconstruction_falls_back_soundly():
     # from this hint must never be accepted silently...
     with pytest.raises(DecompositionError, match="not increasing"):
         reconstruct_decomposition(g, d, FLOAT)
-    # ...and the engines still agree bit-for-bit on the full solve (the
-    # sweep's fallback path), so the miss costs time, never correctness
-    uc = bd_allocation(g, backend=FLOAT, ctx=EngineContext(engine="classic"))
-    uk = bd_allocation(g, backend=FLOAT, ctx=EngineContext(engine="columnar"))
+    # ...and the full solve (the sweep's fallback path) agrees bit-for-bit
+    # with the reference add_edge networks, so the miss costs time, never
+    # correctness
+    uk = bd_allocation(g, backend=FLOAT, ctx=EngineContext())
+    with pytest.MonkeyPatch.context() as mp:
+        use_reference_networks(mp)
+        uc = bd_allocation(g, backend=FLOAT, ctx=EngineContext())
     assert [repr(x) for x in uc.utilities] == [repr(x) for x in uk.utilities]
